@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ciphersuite"
 	"repro/internal/dataset"
@@ -56,6 +57,9 @@ type Client struct {
 	SNIDevices map[string]StringSet
 	// orderedKeys caches sorted fingerprint keys.
 	orderedKeys []string
+	// agg is the report aggregate, built on the first table call that
+	// needs it (see aggregate).
+	agg atomic.Pointer[aggCell]
 }
 
 func newEmptyClient() *Client {
@@ -538,19 +542,20 @@ func (c *Client) DoCVendorAll() map[string]float64 {
 }
 
 // DoCDeviceAll returns DoC_device (the mean per-device DoC within each
-// vendor; Figure 2, blue line).
+// vendor; Figure 2, blue line). Each vendor's device DoCs are summed in
+// sorted device order, so the result is bit-for-bit reproducible.
 func (c *Client) DoCDeviceAll() map[string]float64 {
-	out := map[string]float64{}
-	for _, vendor := range c.vendorNames() {
-		g := c.DeviceGraphForVendor(vendor)
-		docs := g.DoCAll()
+	a := c.aggregate()
+	out := make(map[string]float64, len(a.vendors))
+	for v, vendor := range a.vendors {
+		docs := a.deviceDoCs[v]
 		if len(docs) == 0 {
 			out[vendor] = 0
 			continue
 		}
 		sum := 0.0
-		for _, v := range docs {
-			sum += v
+		for _, d := range docs {
+			sum += d
 		}
 		out[vendor] = sum / float64(len(docs))
 	}
@@ -558,33 +563,14 @@ func (c *Client) DoCDeviceAll() map[string]float64 {
 }
 
 // DeviceDoCsForVendor returns the per-device DoC values of one vendor
-// (Figure 10 rows).
+// (Figure 10 rows), in sorted device order.
 func (c *Client) DeviceDoCsForVendor(vendor string) []float64 {
-	g := c.DeviceGraphForVendor(vendor)
-	docs := g.DoCAll()
-	out := make([]float64, 0, len(docs))
-	keys := make([]string, 0, len(docs))
-	for k := range docs {
-		keys = append(keys, k)
+	a := c.aggregate()
+	var docs []float64
+	if v := sort.SearchStrings(a.vendors, vendor); v < len(a.vendors) && a.vendors[v] == vendor {
+		docs = a.deviceDoCs[v]
 	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, docs[k])
-	}
-	return out
-}
-
-func (c *Client) vendorNames() []string {
-	set := map[string]bool{}
-	for _, v := range c.DeviceVendor {
-		set[v] = true
-	}
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return append(make([]float64, 0, len(docs)), docs...)
 }
 
 // Table3Row is one row of Table 3 (fingerprint heterogeneity within a
@@ -599,39 +585,36 @@ type Table3Row struct {
 // Table3 computes the heterogeneity rows for the topN vendors by
 // fingerprint count.
 func (c *Client) Table3(topN int) []Table3Row {
-	perVendor := map[string]map[string]bool{} // vendor -> fp keys
-	for _, key := range c.orderedKeys {
-		for _, vendor := range c.Prints[key].Vendors {
-			if perVendor[vendor] == nil {
-				perVendor[vendor] = map[string]bool{}
+	a := c.aggregate()
+	type acc struct{ prints, shared10, single int }
+	accs := make([]acc, len(a.vendors))
+	for p := range a.keys {
+		for v := range a.vendors {
+			// Devices of THIS vendor using the fingerprint.
+			n := a.devicesOf(p, v)
+			if n == 0 {
+				continue
 			}
-			perVendor[vendor][key] = true
-		}
-	}
-	rows := make([]Table3Row, 0, len(perVendor))
-	for vendor, keys := range perVendor {
-		row := Table3Row{Vendor: vendor, NumFingerprints: len(keys)}
-		shared10, single := 0, 0
-		for key := range keys {
-			// Count devices of THIS vendor using the fingerprint.
-			n := 0
-			for _, dev := range c.Prints[key].Devices {
-				if c.DeviceVendor[dev] == vendor {
-					n++
-				}
-			}
+			accs[v].prints++
 			if n >= 10 {
-				shared10++
+				accs[v].shared10++
 			}
 			if n == 1 {
-				single++
+				accs[v].single++
 			}
 		}
-		if len(keys) > 0 {
-			row.SharedBy10Plus = float64(shared10) / float64(len(keys))
-			row.UsedBySingleDev = float64(single) / float64(len(keys))
+	}
+	rows := make([]Table3Row, 0, len(a.vendors))
+	for v, ac := range accs {
+		if ac.prints == 0 {
+			continue
 		}
-		rows = append(rows, row)
+		rows = append(rows, Table3Row{
+			Vendor:          a.vendors[v],
+			NumFingerprints: ac.prints,
+			SharedBy10Plus:  float64(ac.shared10) / float64(ac.prints),
+			UsedBySingleDev: float64(ac.single) / float64(ac.prints),
+		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].NumFingerprints != rows[j].NumFingerprints {

@@ -74,55 +74,30 @@ type Table11Row struct {
 	PercentOutdated float64
 }
 
-// deviceSuiteTuples enumerates the distinct {device, ciphersuite list}
-// tuples (Appendix B's 5,827 unit of analysis).
-func (c *Client) deviceSuiteTuples() map[string][]uint16 {
-	out := map[string][]uint16{}
-	for _, key := range c.orderedKeys {
-		info := c.Prints[key]
-		suiteKey := ""
-		for _, cs := range info.Print.CipherSuites {
-			suiteKey += string(rune('A'+(cs>>12))) + string(rune('a'+(cs>>8&0xF))) +
-				string(rune('a'+(cs>>4&0xF))) + string(rune('a'+(cs&0xF)))
-		}
-		for _, dev := range info.Devices {
-			out[dev+"|"+suiteKey] = info.Print.CipherSuites
-		}
-	}
-	return out
-}
-
 // Table11 runs the semantics-aware matcher over every {device, suites}
-// tuple.
+// tuple: once per distinct ciphersuite list, weighted by the list's
+// devices.
 func (c *Client) Table11(matcher *fingerprint.Matcher) []Table11Row {
+	a := c.aggregate()
 	type acc struct {
 		tuples   int
-		vendors  map[string]bool
+		vendors  []bool
 		outdated int
 	}
 	accs := map[fingerprint.MatchCategory]*acc{}
-	tuples := c.deviceSuiteTuples()
-	total := len(tuples)
-	for id, suites := range tuples {
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
-			}
+	for _, l := range a.lists {
+		m := matcher.MatchSemantics(l.suites)
+		ac := accs[m.Category]
+		if ac == nil {
+			ac = &acc{vendors: make([]bool, len(a.vendors))}
+			accs[m.Category] = ac
 		}
-		// The matcher memoizes per distinct suite list, so repeated tuples
-		// cost a map hit and the memo is shared with Figure 8.
-		m := matcher.MatchSemantics(suites)
-		a := accs[m.Category]
-		if a == nil {
-			a = &acc{vendors: map[string]bool{}}
-			accs[m.Category] = a
+		ac.tuples += l.devices
+		for _, vc := range l.vendors {
+			ac.vendors[vc.vendor] = true
 		}
-		a.tuples++
-		a.vendors[c.DeviceVendor[dev]] = true
 		if m.Category != fingerprint.Customization && !m.Library.SupportedIn2020 {
-			a.outdated++
+			ac.outdated += l.devices
 		}
 	}
 	cats := []fingerprint.MatchCategory{
@@ -134,19 +109,25 @@ func (c *Client) Table11(matcher *fingerprint.Matcher) []Table11Row {
 	}
 	rows := make([]Table11Row, 0, len(cats))
 	for _, cat := range cats {
-		a := accs[cat]
-		if a == nil {
+		ac := accs[cat]
+		if ac == nil {
 			rows = append(rows, Table11Row{Category: cat})
 			continue
 		}
+		vendors := 0
+		for _, ok := range ac.vendors {
+			if ok {
+				vendors++
+			}
+		}
 		row := Table11Row{
 			Category:     cat,
-			Tuples:       a.tuples,
-			PercentTotal: float64(a.tuples) / float64(total),
-			Vendors:      len(a.vendors),
+			Tuples:       ac.tuples,
+			PercentTotal: float64(ac.tuples) / float64(a.tuples),
+			Vendors:      vendors,
 		}
-		if a.tuples > 0 {
-			row.PercentOutdated = float64(a.outdated) / float64(a.tuples)
+		if ac.tuples > 0 {
+			row.PercentOutdated = float64(ac.outdated) / float64(ac.tuples)
 		}
 		rows = append(rows, row)
 	}
@@ -172,8 +153,8 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 		out[i].Low = float64(i) / float64(buckets)
 		out[i].High = float64(i+1) / float64(buckets)
 	}
-	for _, suites := range c.deviceSuiteTuples() {
-		m := matcher.MatchSemantics(suites)
+	for _, l := range c.aggregate().lists {
+		m := matcher.MatchSemantics(l.suites)
 		if m.Category != fingerprint.SameComponent && m.Category != fingerprint.SimilarComponent {
 			continue
 		}
@@ -182,9 +163,9 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 			idx = buckets - 1
 		}
 		if m.Category == fingerprint.SameComponent {
-			out[idx].SameComp++
+			out[idx].SameComp += l.devices
 		} else {
-			out[idx].SimComp++
+			out[idx].SimComp += l.devices
 		}
 	}
 	return out
@@ -229,31 +210,34 @@ type Figure9Row struct {
 
 // Figure9 computes vulnerable-component inclusion per vendor.
 func (c *Client) Figure9() []Figure9Row {
-	rows := map[string]*Figure9Row{}
-	for id, suites := range c.deviceSuiteTuples() {
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
+	a := c.aggregate()
+	rows := make([]*Figure9Row, len(a.vendors))
+	for _, l := range a.lists {
+		classes := ciphersuite.VulnClasses(l.suites)
+		for _, vc := range l.vendors {
+			row := rows[vc.vendor]
+			if row == nil {
+				row = &Figure9Row{Vendor: a.vendors[vc.vendor], ByClass: map[ciphersuite.VulnClass]int{}}
+				rows[vc.vendor] = row
+			}
+			row.TupleCount += vc.devices
+			for _, cl := range classes {
+				row.ByClass[cl] += vc.devices
 			}
 		}
-		vendor := c.DeviceVendor[dev]
-		row := rows[vendor]
-		if row == nil {
-			row = &Figure9Row{Vendor: vendor, ByClass: map[ciphersuite.VulnClass]int{}}
-			rows[vendor] = row
-		}
-		row.TupleCount++
-		for _, cl := range ciphersuite.VulnClasses(suites) {
-			row.ByClass[cl]++
-		}
 	}
-	out := make([]Figure9Row, 0, len(rows))
+	return compactRows(rows)
+}
+
+// compactRows returns the non-nil rows of a per-vendor-index slice,
+// which are already in vendor order.
+func compactRows[T any](rows []*T) []T {
+	out := make([]T, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, *r)
+		if r != nil {
+			out = append(out, *r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vendor < out[j].Vendor })
 	return out
 }
 
@@ -273,42 +257,39 @@ type Figure11Row struct {
 // Figure11 computes the lowest index of vulnerable ciphersuites per
 // vendor (Appendix B.7).
 func (c *Client) Figure11() []Figure11Row {
-	rows := map[string]*Figure11Row{}
-	for id, suites := range c.deviceSuiteTuples() {
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
-			}
-		}
-		vendor := c.DeviceVendor[dev]
-		row := rows[vendor]
-		if row == nil {
-			row = &Figure11Row{Vendor: vendor}
-			rows[vendor] = row
-		}
-		row.Tuples++
+	a := c.aggregate()
+	rows := make([]*Figure11Row, len(a.vendors))
+	for _, l := range a.lists {
 		// Skip a leading renegotiation SCSV, as the appendix does.
-		effective := suites
+		effective := l.suites
 		if len(effective) > 0 && effective[0] == ciphersuite.SCSVRenegotiation {
 			effective = effective[1:]
 		}
 		idx := ciphersuite.LowestVulnerableIndex(effective)
-		if idx >= 0 {
-			row.Indices = append(row.Indices, idx)
+		for _, vc := range l.vendors {
+			row := rows[vc.vendor]
+			if row == nil {
+				row = &Figure11Row{Vendor: a.vendors[vc.vendor]}
+				rows[vc.vendor] = row
+			}
+			row.Tuples += vc.devices
+			if idx < 0 {
+				continue
+			}
+			for i := 0; i < vc.devices; i++ {
+				row.Indices = append(row.Indices, idx)
+			}
 			if idx == 0 {
-				row.FirstPreferred++
+				row.FirstPreferred += vc.devices
 			}
 		}
 	}
-	out := make([]Figure11Row, 0, len(rows))
 	for _, r := range rows {
-		sort.Ints(r.Indices)
-		out = append(out, *r)
+		if r != nil {
+			sort.Ints(r.Indices)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vendor < out[j].Vendor })
-	return out
+	return compactRows(rows)
 }
 
 // Figure12Row decomposes each vendor's most-preferred ciphersuites.
@@ -325,44 +306,34 @@ type Figure12Row struct {
 // (Appendix B.8). Tuples led by the renegotiation SCSV are excluded, as
 // in the paper.
 func (c *Client) Figure12() []Figure12Row {
-	rows := map[string]*Figure12Row{}
-	for id, suites := range c.deviceSuiteTuples() {
-		if len(suites) == 0 || suites[0] == ciphersuite.SCSVRenegotiation {
+	a := c.aggregate()
+	rows := make([]*Figure12Row, len(a.vendors))
+	for _, l := range a.lists {
+		if len(l.suites) == 0 || l.suites[0] == ciphersuite.SCSVRenegotiation {
 			continue
 		}
-		first, ok := ciphersuite.Lookup(suites[0])
+		first, ok := ciphersuite.Lookup(l.suites[0])
 		if !ok || first.IsSCSV() {
 			continue
 		}
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
-			}
-		}
-		vendor := c.DeviceVendor[dev]
-		row := rows[vendor]
-		if row == nil {
-			row = &Figure12Row{
-				Vendor: vendor,
-				Kex:    map[string]int{},
-				Cipher: map[string]int{},
-				MAC:    map[string]int{},
-			}
-			rows[vendor] = row
-		}
 		k, ci, m := first.Components()
-		row.Kex[k]++
-		row.Cipher[ci]++
-		row.MAC[m]++
+		for _, vc := range l.vendors {
+			row := rows[vc.vendor]
+			if row == nil {
+				row = &Figure12Row{
+					Vendor: a.vendors[vc.vendor],
+					Kex:    map[string]int{},
+					Cipher: map[string]int{},
+					MAC:    map[string]int{},
+				}
+				rows[vc.vendor] = row
+			}
+			row.Kex[k] += vc.devices
+			row.Cipher[ci] += vc.devices
+			row.MAC[m] += vc.devices
+		}
 	}
-	out := make([]Figure12Row, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vendor < out[j].Vendor })
-	return out
+	return compactRows(rows)
 }
 
 // ExtensionCensus reports device/vendor counts for OCSP status requests,

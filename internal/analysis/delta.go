@@ -68,7 +68,8 @@ func NewDelta(records []dataset.Record) (*Delta, error) {
 // in place — they either keep it or replace it with a fresh slice —
 // so snapshots published by Clone stay immutable while the original
 // keeps merging. orderedKeys is rebuilt eagerly so table methods stay
-// read-only.
+// read-only; the report aggregate is dropped, and the next table call
+// rebuilds it.
 func (c *Client) MergeDelta(d *Delta) {
 	f := d.frag
 	for key, part := range f.Prints {
@@ -99,6 +100,7 @@ func (c *Client) MergeDelta(d *Delta) {
 		c.DeviceType[id] = t
 	}
 	c.rebuildOrderedKeys()
+	c.agg.Store(nil)
 }
 
 // Clone copies the client's aggregate state so the copy can be
@@ -107,7 +109,8 @@ func (c *Client) MergeDelta(d *Delta) {
 // copied: merging replaces sets rather than mutating them, so a
 // snapshot's slices never change underneath a reader — and a clone
 // costs one FingerprintInfo struct plus map headers instead of
-// re-copying every element.
+// re-copying every element. The clone starts without a report
+// aggregate.
 func (c *Client) Clone() *Client {
 	out := &Client{
 		DS:            c.DS,

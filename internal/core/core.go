@@ -217,35 +217,52 @@ func Run(ctx context.Context, cfg Config) (*Study, error) {
 	return st, nil
 }
 
+// tableJob is one report table builder under a fixed name. The name
+// labels the table's report/<name> span and its report_table_seconds
+// series; names come only from the job lists below, so both form a
+// bounded set.
+type tableJob struct {
+	name  string
+	build func() report.Table
+}
+
 // clientTableJobs lists the Section 4 + Appendix B table builders. Each
 // job is independent and reads only immutable post-Run state (the
-// matcher's memo is internally synchronized), so jobs may run on any
-// goroutine; order in the slice is the report order.
-func (s *Study) clientTableJobs() []func() report.Table {
-	jobs := []func() report.Table{
-		func() report.Table { return report.LibMatch(s.Client.MatchLibraries(s.Matcher)) },
-		func() report.Table { return report.Table2(s.Client.Table2()) },
-		func() report.Table { return report.Figure2(s.Client.DoCVendorAll(), s.Client.DoCDeviceAll()) },
-		func() report.Table { return report.Table3(s.Client.Table3(10)) },
-		func() report.Table { return report.Table4(s.Client.Table4(0.2)) },
-		func() report.Table { return report.Table5(s.Client.Table5(2)) },
-		func() report.Table { return report.VulnStats(s.Client.Vulnerabilities()) },
-		func() report.Table { return report.Table11(s.Client.Table11(s.Matcher)) },
-		func() report.Table { return report.Figure8(s.Client.Figure8(s.Matcher, 10)) },
-		func() report.Table { return report.Table12(s.Client.Table12()) },
-		func() report.Table { return report.Figure11(s.Client.Figure11()) },
-		func() report.Table { return report.Figure12(s.Client.Figure12()) },
-		func() report.Table { return report.Census(s.Client.Census()) },
-		func() report.Table { return report.ExtensionFrequencies(s.Client.ExtensionFrequencies(s.Matcher), 12) },
-		func() report.Table { return report.Table10(s.Matcher.Entries()) },
-		func() report.Table { return report.Table13() },
+// matcher's memo and the client's report aggregate are internally
+// synchronized), so jobs may run on any goroutine; order in the slice
+// is the report order.
+func (s *Study) clientTableJobs() []tableJob {
+	c, m := s.Client, s.Matcher
+	jobs := []tableJob{
+		{"lib_match", func() report.Table { return report.LibMatch(c.MatchLibraries(m)) }},
+		{"table2", func() report.Table { return report.Table2(c.Table2()) }},
+		{"figure2", func() report.Table { return report.Figure2(c.DoCVendorAll(), c.DoCDeviceAll()) }},
+		{"table3", func() report.Table { return report.Table3(c.Table3(10)) }},
+		{"table4", func() report.Table { return report.Table4(c.Table4(0.2)) }},
+		{"table5", func() report.Table { return report.Table5(c.Table5(2)) }},
+		{"vuln_stats", func() report.Table { return report.VulnStats(c.Vulnerabilities()) }},
+		{"table11", func() report.Table { return report.Table11(c.Table11(m)) }},
+		{"figure8", func() report.Table { return report.Figure8(c.Figure8(m, 10)) }},
+		{"table12", func() report.Table { return report.Table12(c.Table12()) }},
+		{"figure11", func() report.Table { return report.Figure11(c.Figure11()) }},
+		{"figure12", func() report.Table { return report.Figure12(c.Figure12()) }},
+		{"census", func() report.Table { return report.Census(c.Census()) }},
+		{"extension_frequencies", func() report.Table {
+			return report.ExtensionFrequencies(c.ExtensionFrequencies(m), 12)
+		}},
+		{"table10", func() report.Table { return report.Table10(m.Entries()) }},
+		{"table13", func() report.Table { return report.Table13() }},
 	}
 	// The timeline tables only exist on drift runs, so the paper-era
 	// report stays byte-identical (same gating as the serverfp tables).
 	if !s.Config.AsOf.IsZero() {
 		jobs = append(jobs,
-			func() report.Table { return report.AdoptionCurve(s.Dataset.AdoptionCurve(s.timelineDates())) },
-			func() report.Table { return report.DowngradeStragglers(s.Dataset.DowngradeStragglers(), 15) },
+			tableJob{"adoption_curve", func() report.Table {
+				return report.AdoptionCurve(s.Dataset.AdoptionCurve(s.timelineDates()))
+			}},
+			tableJob{"downgrade_stragglers", func() report.Table {
+				return report.DowngradeStragglers(s.Dataset.DowngradeStragglers(), 15)
+			}},
 		)
 	}
 	return jobs
@@ -268,60 +285,90 @@ func (s *Study) timelineDates() []time.Time {
 // serverTableJobs lists the Section 5 + Appendix C table builders, plus
 // the active-fingerprinting tables when that stage ran. Appending rather
 // than always listing them keeps the default report byte-identical.
-func (s *Study) serverTableJobs() []func() report.Table {
-	jobs := []func() report.Table{
-		func() report.Table { return report.Table6(s.Server.Table6()) },
-		func() report.Table { return report.Sharing(s.Server.Sharing()) },
-		func() report.Table { return report.Figure5(s.Server.Figure5()) },
-		func() report.Table {
-			return report.DomainRows("Table 7: Certificate chains with validation failure", s.Server.Table7(), false)
-		},
-		func() report.Table {
-			return report.DomainRows("Table 8: Expired certificates", s.Server.Table8(), true)
-		},
-		func() report.Table {
-			return report.DomainRows("Table 14: Certificate chains with private issuers", s.Server.Table14(), false)
-		},
-		func() report.Table {
-			return report.DomainRows("Section 5.3: Common Name mismatches", s.Server.CNMismatches(), false)
-		},
-		func() report.Table { return report.Figure6(s.Server.Figure6()) },
-		func() report.Table { return report.Table9(s.Server.Table9()) },
-		func() report.Table { return report.CTStats(s.Server.CT()) },
-		func() report.Table { return report.Table15(s.Server.Table15(30)) },
-		func() report.Table { return report.Table16(s.Server.Table16()) },
-		func() report.Table { return report.ProbeStats(s.Server.ProbeStats) },
-		func() report.Table {
-			return report.ReportCards(s.Server.ReportCards(s.World.ProbeTime), s.World.ProbeTime)
-		},
+func (s *Study) serverTableJobs() []tableJob {
+	sv := s.Server
+	jobs := []tableJob{
+		{"table6", func() report.Table { return report.Table6(sv.Table6()) }},
+		{"sharing", func() report.Table { return report.Sharing(sv.Sharing()) }},
+		{"figure5", func() report.Table { return report.Figure5(sv.Figure5()) }},
+		{"table7", func() report.Table {
+			return report.DomainRows("Table 7: Certificate chains with validation failure", sv.Table7(), false)
+		}},
+		{"table8", func() report.Table {
+			return report.DomainRows("Table 8: Expired certificates", sv.Table8(), true)
+		}},
+		{"table14", func() report.Table {
+			return report.DomainRows("Table 14: Certificate chains with private issuers", sv.Table14(), false)
+		}},
+		{"cn_mismatches", func() report.Table {
+			return report.DomainRows("Section 5.3: Common Name mismatches", sv.CNMismatches(), false)
+		}},
+		{"figure6", func() report.Table { return report.Figure6(sv.Figure6()) }},
+		{"table9", func() report.Table { return report.Table9(sv.Table9()) }},
+		{"ct_stats", func() report.Table { return report.CTStats(sv.CT()) }},
+		{"table15", func() report.Table { return report.Table15(sv.Table15(30)) }},
+		{"table16", func() report.Table { return report.Table16(sv.Table16()) }},
+		{"probe_stats", func() report.Table { return report.ProbeStats(sv.ProbeStats) }},
+		{"report_cards", func() report.Table {
+			return report.ReportCards(sv.ReportCards(s.World.ProbeTime), s.World.ProbeTime)
+		}},
 	}
 	if s.ServerFP != nil {
 		jobs = append(jobs,
-			func() report.Table { return report.ServerFPCensus(s.ServerFP) },
-			func() report.Table { return report.ServerFPVendorStacks(s.ServerFP) },
+			tableJob{"serverfp_census", func() report.Table { return report.ServerFPCensus(s.ServerFP) }},
+			tableJob{"serverfp_vendor_stacks", func() report.Table { return report.ServerFPVendorStacks(s.ServerFP) }},
 		)
 	}
 	return jobs
 }
 
 // buildTables runs table jobs across the study's worker pool, preserving
-// slice order in the result regardless of completion order.
-func (s *Study) buildTables(jobs []func() report.Table) []report.Table {
-	if m := s.Config.Metrics; m != nil {
+// slice order in the result regardless of completion order. Under a
+// non-nil parent span each job runs in a report/<name> child span; the
+// children are created here, in job order, so the tree's shape does not
+// depend on scheduling. With Config.Metrics set each job observes
+// report_table_seconds{table=<name>}.
+func (s *Study) buildTables(parent *obs.Span, jobs []tableJob) []report.Table {
+	m := s.Config.Metrics
+	if m != nil {
 		sw := obs.NewStopwatch()
 		defer func() {
 			m.Histogram("report_render_seconds", obs.DurationBuckets).Observe(sw.Seconds())
 			m.Counter("report_tables_total").Add(int64(len(jobs)))
 		}()
 	}
+	var spans []*obs.Span
+	if parent != nil {
+		spans = make([]*obs.Span, len(jobs))
+		for i, job := range jobs {
+			spans[i] = parent.Child("report/" + job.name)
+		}
+	}
+	out := make([]report.Table, len(jobs))
+	run := func(i int) {
+		if spans == nil && m == nil {
+			out[i] = jobs[i].build()
+			return
+		}
+		var sp *obs.Span
+		if spans != nil {
+			sp = spans[i]
+			sp.Begin()
+		}
+		sw := obs.NewStopwatch()
+		out[i] = jobs[i].build()
+		sp.End()
+		if m != nil {
+			m.Histogram("report_table_seconds", obs.DurationBuckets, obs.L("table", jobs[i].name)).Observe(sw.Seconds())
+		}
+	}
 	workers := s.Config.workers()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	out := make([]report.Table, len(jobs))
 	if workers <= 1 {
-		for i, job := range jobs {
-			out[i] = job()
+		for i := range jobs {
+			run(i)
 		}
 		return out
 	}
@@ -332,7 +379,7 @@ func (s *Study) buildTables(jobs []func() report.Table) []report.Table {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = jobs[i]()
+				run(i)
 			}
 		}()
 	}
@@ -346,12 +393,12 @@ func (s *Study) buildTables(jobs []func() report.Table) []report.Table {
 
 // ClientTables renders the Section 4 + Appendix B tables.
 func (s *Study) ClientTables() []report.Table {
-	return s.buildTables(s.clientTableJobs())
+	return s.buildTables(nil, s.clientTableJobs())
 }
 
 // ServerTables renders the Section 5 + Appendix C tables.
 func (s *Study) ServerTables() []report.Table {
-	return s.buildTables(s.serverTableJobs())
+	return s.buildTables(nil, s.serverTableJobs())
 }
 
 // WriteReport renders every table to w. Tables are built concurrently
@@ -366,7 +413,7 @@ func (s *Study) WriteReport(w io.Writer) {
 		s.Client.NumFingerprints(), len(s.SNIs), len(s.Dataset.SNIs()))
 	jobs := append(s.clientTableJobs(), s.serverTableJobs()...)
 	sp.SetCount("tables", int64(len(jobs)))
-	for _, t := range s.buildTables(jobs) {
+	for _, t := range s.buildTables(sp, jobs) {
 		t.WriteText(w)
 		fmt.Fprintln(w)
 	}

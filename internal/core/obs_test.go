@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -238,5 +240,97 @@ func TestRunStagesFirstErrorWins(t *testing.T) {
 	}
 	if downstream {
 		t.Fatal("downstream stage ran after upstream failure")
+	}
+}
+
+// reportTableNames is the fixed set of report table names: every span
+// below "report" is report/<name> and every report_table_seconds series
+// carries table=<name> for one of these.
+var reportTableNames = []string{
+	"lib_match", "table2", "figure2", "table3", "table4", "table5", "vuln_stats",
+	"table11", "figure8", "table12", "figure11", "figure12", "census",
+	"extension_frequencies", "table10", "table13", "adoption_curve", "downgrade_stragglers",
+	"table6", "sharing", "figure5", "table7", "table8", "table14", "cn_mismatches",
+	"figure6", "table9", "ct_stats", "table15", "table16", "probe_stats", "report_cards",
+	"serverfp_census", "serverfp_vendor_stacks",
+}
+
+// TestReportTableSpansAndMetrics: with every optional table enabled,
+// WriteReport opens one report/<table> span per table in report order,
+// observes report_table_seconds under exactly the fixed table names
+// (a second render adds observations, not series), and renders the same
+// bytes as an unobserved run.
+func TestReportTableSpansAndMetrics(t *testing.T) {
+	base := Config{
+		Seed: 17, Scale: 0.2, MinSNIUsers: 2, ServerFP: true,
+		AsOf: time.Date(2025, 8, 1, 0, 0, 0, 0, time.UTC),
+	}
+	plain, err := Run(context.Background(), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := base
+	observed.Tracer = obs.NewTracer("test")
+	observed.Metrics = obs.NewRegistry("test")
+	traced, err := Run(context.Background(), observed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var a, b bytes.Buffer
+	plain.WriteReport(&a)
+	traced.WriteReport(&b)
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("report bytes differ with a tracer and metrics attached")
+	}
+
+	var spans []string
+	for _, sp := range observed.Tracer.Root().Children() {
+		if sp.Name() != "report" {
+			continue
+		}
+		for _, c := range sp.Children() {
+			spans = append(spans, c.Name())
+		}
+	}
+	var want []string
+	for _, name := range reportTableNames {
+		want = append(want, "report/"+name)
+	}
+	if strings.Join(spans, " ") != strings.Join(want, " ") {
+		t.Fatalf("report spans:\n%s\nwant:\n%s", strings.Join(spans, "\n"), strings.Join(want, "\n"))
+	}
+
+	labels := func() []string {
+		var exp bytes.Buffer
+		if err := observed.Metrics.WritePrometheus(&exp); err != nil {
+			t.Fatal(err)
+		}
+		series, err := obs.ParseText(&exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for key, v := range series {
+			if name, ok := strings.CutPrefix(key, `test_report_table_seconds_count{table="`); ok {
+				out = append(out, fmt.Sprintf("%s=%v", strings.TrimSuffix(name, `"}`), v))
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	countsWant := func(n int) []string {
+		var out []string
+		for _, name := range reportTableNames {
+			out = append(out, fmt.Sprintf("%s=%d", name, n))
+		}
+		sort.Strings(out)
+		return out
+	}
+	if got := labels(); strings.Join(got, " ") != strings.Join(countsWant(1), " ") {
+		t.Fatalf("report_table_seconds series:\n%v\nwant:\n%v", got, countsWant(1))
+	}
+	traced.WriteReport(io.Discard)
+	if got := labels(); strings.Join(got, " ") != strings.Join(countsWant(2), " ") {
+		t.Fatalf("after a second render, report_table_seconds series:\n%v\nwant:\n%v", got, countsWant(2))
 	}
 }

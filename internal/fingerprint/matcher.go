@@ -90,7 +90,7 @@ func NewMatcher(entries []LibraryEntry) *Matcher {
 			m.byInternedBest[e.Print.Intern(m.arena)] = e
 		}
 
-		okey := suiteListKey(e.Print.CipherSuites)
+		okey := SuiteListKey(e.Print.CipherSuites)
 		g, ok := m.byOrderedKey[okey]
 		if !ok {
 			kex, cipher, mac := componentSets(e.Print.CipherSuites)
@@ -101,7 +101,7 @@ func NewMatcher(entries []LibraryEntry) *Matcher {
 			}
 			m.byOrderedKey[okey] = g
 			m.groups = append(m.groups, g)
-			skey := suiteListKey(sortedSuites(e.Print.CipherSuites))
+			skey := SuiteListKey(sortedSuites(e.Print.CipherSuites))
 			m.bySortedKey[skey] = append(m.bySortedKey[skey], g)
 		} else if versionLess(g.best.Version, e.Version) {
 			g.best = e
@@ -110,8 +110,9 @@ func NewMatcher(entries []LibraryEntry) *Matcher {
 	return m
 }
 
-// suiteListKey is a fast binary key over a suite list.
-func suiteListKey(ids []uint16) string {
+// SuiteListKey is a fast binary key over a suite list: two bytes per
+// suite, so two lists share a key exactly when they are equal.
+func SuiteListKey(ids []uint16) string {
 	b := make([]byte, 2*len(ids))
 	for i, id := range ids {
 		b[2*i] = byte(id >> 8)
@@ -180,7 +181,7 @@ type SemanticsMatch struct {
 // expensive component-set scan happens once per list no matter how many
 // tables replay the corpus.
 func (m *Matcher) MatchSemantics(deviceSuites []uint16) SemanticsMatch {
-	memoKey := suiteListKey(deviceSuites)
+	memoKey := SuiteListKey(deviceSuites)
 	m.semMu.RLock()
 	cached, ok := m.semMemo[memoKey]
 	m.semMu.RUnlock()
@@ -197,7 +198,7 @@ func (m *Matcher) MatchSemantics(deviceSuites []uint16) SemanticsMatch {
 // matchSemanticsUncached is the memo-free matcher body.
 func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
 	// Exact list match: direct lookup.
-	if g, ok := m.byOrderedKey[suiteListKey(deviceSuites)]; ok {
+	if g, ok := m.byOrderedKey[SuiteListKey(deviceSuites)]; ok {
 		return SemanticsMatch{
 			Category: ExactCiphersuites,
 			Library:  g.best,
@@ -205,7 +206,7 @@ func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
 		}
 	}
 	// Same set, different order: sorted-key lookup.
-	if gs, ok := m.bySortedKey[suiteListKey(sortedSuites(deviceSuites))]; ok {
+	if gs, ok := m.bySortedKey[SuiteListKey(sortedSuites(deviceSuites))]; ok {
 		best := gs[0]
 		for _, g := range gs[1:] {
 			if versionLess(best.best.Version, g.best.Version) {

@@ -127,26 +127,34 @@ func mix64(x uint64) uint64 {
 
 // inject runs the fault schedule for the next attempt against (sni, v):
 // simulated latency first, then possibly a reset or a stall. A nil
-// faultState injects nothing.
-func (f *faultState) inject(ctx context.Context, sni string, v Vantage) error {
+// faultState injects nothing. A non-empty stream gives the caller's
+// probe its own attempt counter and rolls: several probes that target
+// one (sni, v) at once would otherwise draw attempt numbers from a
+// shared counter in scheduling order, and their faults would depend on
+// the worker count.
+func (f *faultState) inject(ctx context.Context, sni string, v Vantage, stream string) error {
 	if f == nil {
 		return ctx.Err()
 	}
-	key := sni + "|" + string(v)
+	id := sni
+	if stream != "" {
+		id = sni + "#" + stream
+	}
+	key := id + "|" + string(v)
 	f.mu.Lock()
 	f.attempts[key]++
 	attempt := f.attempts[key]
 	f.mu.Unlock()
 
-	if lat := f.latency(sni, v, attempt); lat > 0 {
+	if lat := f.latency(id, v, attempt); lat > 0 {
 		if err := f.sleep(ctx, lat); err != nil {
 			return fmt.Errorf("simnet: dial %s: %w", sni, err)
 		}
 	}
-	if f.cfg.TransientRate <= 0 || f.roll("fault", sni, v, attempt) >= f.cfg.TransientRate {
+	if f.cfg.TransientRate <= 0 || f.roll("fault", id, v, attempt) >= f.cfg.TransientRate {
 		return ctx.Err()
 	}
-	if f.roll("kind", sni, v, attempt) < f.resetFraction() {
+	if f.roll("kind", id, v, attempt) < f.resetFraction() {
 		return fmt.Errorf("%w: %s (attempt %d)", ErrConnReset, sni, attempt)
 	}
 	// Stalled handshake: hang until the caller's deadline or the stall

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/tls"
 	"crypto/x509"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"net"
@@ -104,7 +105,7 @@ func (w *World) ProbeContext(ctx context.Context, sni string, vantage Vantage) (
 	if srv.Unreachable {
 		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnreachable, sni)
 	}
-	if err := w.faults.inject(ctx, sni, vantage); err != nil {
+	if err := w.faults.inject(ctx, sni, vantage, ""); err != nil {
 		return Negotiation{}, err
 	}
 	chain := srv.ChainAt(vantage)
@@ -202,7 +203,7 @@ func (w *World) ProbeFastContext(ctx context.Context, sni string, vantage Vantag
 	if srv.Unreachable {
 		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnreachable, sni)
 	}
-	if err := w.faults.inject(ctx, sni, vantage); err != nil {
+	if err := w.faults.inject(ctx, sni, vantage, ""); err != nil {
 		return Negotiation{}, err
 	}
 	n := Negotiation{Chain: srv.ChainAt(vantage)}
@@ -220,8 +221,10 @@ func (w *World) ProbeFastContext(ctx context.Context, sni string, vantage Vantag
 // server stack model's response, after the same host/reachability/fault
 // gauntlet as ProbeFastContext. The response round-trips through the
 // tlswire marshal/parse path, so every battery probe also exercises the
-// ServerHello wire format. This is the active-fingerprinting probe
-// primitive; a refusal alert returns with a nil error and an empty
+// ServerHello wire format. Each distinct hello (told apart by its
+// random) has its own fault stream, so concurrent battery probes of one
+// host fail the same way at any worker count. This is the
+// active-fingerprinting probe primitive; a refusal alert returns with a nil error and an empty
 // chain.
 func (w *World) NegotiateFast(ctx context.Context, sni string, vantage Vantage, hello *tlswire.ClientHello) (Negotiation, error) {
 	srv, ok := w.Servers[sni]
@@ -231,7 +234,7 @@ func (w *World) NegotiateFast(ctx context.Context, sni string, vantage Vantage, 
 	if srv.Unreachable {
 		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnreachable, sni)
 	}
-	if err := w.faults.inject(ctx, sni, vantage); err != nil {
+	if err := w.faults.inject(ctx, sni, vantage, hex.EncodeToString(hello.Random[:])); err != nil {
 		return Negotiation{}, err
 	}
 	if srv.Stack == nil {

@@ -38,6 +38,7 @@ func TestMetricsExpositionFile(t *testing.T) {
 		"iotls_pki_verdicts_total",
 		"iotls_dataset_records_total",
 		"iotls_report_tables_total",
+		"iotls_report_table_seconds_count",
 	} {
 		if got := obs.SumSeries(samples, series); got <= 0 {
 			t.Errorf("%s = %v, want > 0", series, got)
