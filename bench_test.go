@@ -11,6 +11,7 @@ import (
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -482,6 +483,22 @@ func BenchmarkEndToEndStudy(b *testing.B) {
 		if _, err := core.Run(context.Background(), core.Config{Seed: int64(i) + 1, Scale: 0.1, MinSNIUsers: 2}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkGenerateAsOf measures dataset generation replayed at a
+// late-timeline date (2025-08-01), where roughly two thirds of the
+// devices stamp 1.3-era hellos from the firmware-drift layer.
+func BenchmarkGenerateAsOf(b *testing.B) {
+	asof := time.Date(2025, 8, 1, 0, 0, 0, 0, time.UTC)
+	for _, scale := range []float64{1, 10} {
+		b.Run(fmt.Sprintf("scale%g", scale), func(b *testing.B) {
+			cfg := dataset.Config{Seed: 1, Scale: scale, AsOf: asof}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dataset.Generate(cfg)
+			}
+		})
 	}
 }
 

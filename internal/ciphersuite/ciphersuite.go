@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // SecurityLevel classifies a ciphersuite per the paper's taxonomy.
@@ -214,15 +215,19 @@ func LookupName(name string) (Suite, bool) {
 	return s, ok
 }
 
-// All returns every registered suite sorted by codepoint.
-func All() []Suite {
+// All returns every registered suite sorted by codepoint. The registry
+// is complete after init, so the slice is sorted once and shared;
+// callers must not modify it.
+func All() []Suite { return sortedSuites() }
+
+var sortedSuites = sync.OnceValue(func() []Suite {
 	out := make([]Suite, 0, len(registry))
 	for _, s := range registry {
 		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
+})
 
 // Count returns the number of registered suites.
 func Count() int { return len(registry) }

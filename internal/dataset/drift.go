@@ -18,14 +18,15 @@ package dataset
 // generator output is byte-identical to a build without this file.
 
 import (
-	"hash/fnv"
+	"math/rand"
 	"sort"
-	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/fingerprint"
 	"repro/internal/intern"
 	"repro/internal/libcorpus"
+	"repro/internal/obs"
 	"repro/internal/tlswire"
 )
 
@@ -58,20 +59,31 @@ func driftProfileOf(p SecurityProfile) driftProfile {
 	}
 }
 
+// FNV-1a 64-bit parameters (hash/fnv's New64a), inlined by driftHash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // driftHash is the drift layer's only randomness: FNV-1a over the seed
-// and event coordinates, finalized with the murmur3 avalanche so nearby
-// inputs decorrelate. It never touches the generator's rand stream.
+// (8 little-endian bytes), kind, a zero separator and a, finalized with
+// the murmur3 avalanche so nearby inputs decorrelate. It never touches
+// the generator's rand stream, and the inline loop allocates nothing.
 func driftHash(seed int64, kind, a string) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	for i := range buf {
-		buf[i] = byte(uint64(seed) >> (8 * i))
+	x := uint64(fnvOffset64)
+	for i := 0; i < 8; i++ {
+		x ^= uint64(byte(uint64(seed) >> (8 * i)))
+		x *= fnvPrime64
 	}
-	h.Write(buf[:])
-	h.Write([]byte(kind))
-	h.Write([]byte{0})
-	h.Write([]byte(a))
-	x := h.Sum64()
+	for i := 0; i < len(kind); i++ {
+		x ^= uint64(kind[i])
+		x *= fnvPrime64
+	}
+	x *= fnvPrime64 // the zero separator: x ^= 0 is a no-op
+	for i := 0; i < len(a); i++ {
+		x ^= uint64(a[i])
+		x *= fnvPrime64
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -94,17 +106,42 @@ func upgradeDate(seed int64, deviceID string, profile SecurityProfile) (time.Tim
 	return driftStart.Add(time.Duration(at * float64(span))), true
 }
 
+// modernCorpus is the process-wide copy of libcorpus.Modern the drift
+// layer picks from, in the corpus's own order; it is never modified.
+var modernCorpus = sync.OnceValue(libcorpus.Modern)
+
 // upgradeEntryFor picks the modern-corpus entry an upgraded stack
 // rebuilds on: a hash of the original stack identity over the entries
 // released by the device's upgrade date, so every device sharing a
 // firmware stack that upgrades on the same date converges on the same
 // 1.3 fingerprint (shared ODM builds stay shared after the update).
-func upgradeEntryFor(seed int64, stackID string, upAt time.Time) libcorpus.ModernEntry {
-	entries := libcorpus.ModernAsOf(upAt)
-	if len(entries) == 0 {
-		entries = libcorpus.Modern()[:1]
+// The pick is the hash%n-th of the n entries released before upAt,
+// counted in corpus order as ModernAsOf filters them, or the first
+// entry when none had shipped yet. The corpus is not sorted by date, so
+// the pick walks the filter instead of searching; it allocates nothing
+// and returns a pointer into modernCorpus.
+func upgradeEntryFor(seed int64, stackID string, upAt time.Time) *libcorpus.ModernEntry {
+	all := modernCorpus()
+	n := 0
+	for i := range all {
+		if all[i].Released.Before(upAt) {
+			n++
+		}
 	}
-	return entries[driftHash(seed, "fw-lib", stackID)%uint64(len(entries))]
+	if n == 0 {
+		return &all[0]
+	}
+	k := driftHash(seed, "fw-lib", stackID) % uint64(n)
+	for i := range all {
+		if !all[i].Released.Before(upAt) {
+			continue
+		}
+		if k == 0 {
+			return &all[i]
+		}
+		k--
+	}
+	panic("dataset: upgradeEntryFor: unreachable")
 }
 
 // fwStackPrefix marks upgraded stack identities. The prefix embeds the
@@ -113,71 +150,105 @@ func upgradeEntryFor(seed int64, stackID string, upAt time.Time) libcorpus.Moder
 // sound because a symbol still maps to exactly one set of hello bytes.
 const fwStackPrefix = "fw:"
 
-// applyFirmwareDrift re-stamps the records of every device upgraded by
-// cfg.AsOf with 1.3-era hello bytes. New templates are appended to the
-// shared raw buffer and the record spans repointed; each record keeps
-// its original 32-byte client random, and timestamps (and therefore the
-// sort order) are untouched. The abandoned spans of upgraded records
-// stay in the buffer — at paper scale the waste is a few hundred
-// kilobytes, and keeping offsets stable is what makes the pass cheap.
-func (ds *Dataset) applyFirmwareDrift(cfg Config) {
-	asof := cfg.AsOf
-	if asof.IsZero() || !asof.After(driftStart) {
+// driftActive reports whether asof lies past the drift window's start;
+// earlier (and zero) dates leave the generator's output untouched.
+func driftActive(asof time.Time) bool {
+	return !asof.IsZero() && asof.After(driftStart)
+}
+
+// fwKey memoizes one upgraded stack symbol: the original stack and the
+// modern-corpus entry it rebuilt on.
+type fwKey struct {
+	stack intern.Symbol
+	entry *libcorpus.ModernEntry
+}
+
+// tmpl13Key identifies one 1.3 hello template. buildHelloTemplate13
+// reads only the entry's print and the SNI, so stacks that rebuilt on
+// the same library share templates.
+type tmpl13Key struct {
+	entry *libcorpus.ModernEntry
+	sni   intern.Symbol
+}
+
+// driftStamper stamps the records of devices upgraded by Config.AsOf
+// straight from 1.3-era templates while Generate mints them. The client
+// random comes from the same single rng read as a paper-era stamp, so
+// the rand stream — and every other record — is unchanged by drift.
+type driftStamper struct {
+	seed  int64
+	asof  time.Time
+	tab   *intern.Table
+	fwSym map[fwKey]intern.Symbol
+	tmpl  map[tmpl13Key][]byte
+
+	// lastDev is the device of the latest stamp: Generate emits each
+	// device's records contiguously, so a change of device counts one
+	// more upgraded device.
+	lastDev                           intern.Symbol
+	devicesUpgraded, recordsRestamped int64
+}
+
+// newDriftStamper returns the stamper for cfg, or nil when cfg.AsOf
+// does not reach past the drift window's start.
+func newDriftStamper(cfg Config, tab *intern.Table) *driftStamper {
+	if !driftActive(cfg.AsOf) {
+		return nil
+	}
+	return &driftStamper{
+		seed:  cfg.Seed,
+		asof:  cfg.AsOf,
+		tab:   tab,
+		fwSym: map[fwKey]intern.Symbol{},
+		tmpl:  map[tmpl13Key][]byte{},
+	}
+}
+
+// upgradedBy returns the device's upgrade date and whether the update
+// has landed by the stamper's asof (always false on a nil stamper).
+func (d *driftStamper) upgradedBy(deviceID string, profile SecurityProfile) (time.Time, bool) {
+	if d == nil {
+		return time.Time{}, false
+	}
+	at, ok := upgradeDate(d.seed, deviceID, profile)
+	return at, ok && !at.After(d.asof)
+}
+
+// stamp appends one upgraded record's 1.3 hello for device devSym, the
+// original stack (stackID, interned as stackSym) and SNI, and returns
+// the upgraded stack symbol, the record span, and whether the template
+// was cached.
+func (d *driftStamper) stamp(devSym intern.Symbol, stackID string, stackSym, sniSym intern.Symbol, upAt time.Time, cols *columns, rng *rand.Rand) (sym intern.Symbol, off, n uint32, hit bool) {
+	if devSym != d.lastDev {
+		d.lastDev = devSym
+		d.devicesUpgraded++
+	}
+	entry := upgradeEntryFor(d.seed, stackID, upAt)
+	fk := fwKey{stack: stackSym, entry: entry}
+	sym, ok := d.fwSym[fk]
+	if !ok {
+		sym = d.tab.Intern(fwStackPrefix + entry.Name() + ":" + stackID)
+		d.fwSym[fk] = sym
+	}
+	tk := tmpl13Key{entry: entry, sni: sniSym}
+	tmpl, hit := d.tmpl[tk]
+	if !hit {
+		tmpl = buildHelloTemplate13(entry.Print, d.tab.Str(sniSym))
+		d.tmpl[tk] = tmpl
+	}
+	off, n = stampTemplate(cols, tmpl, rng)
+	d.recordsRestamped++
+	return sym, off, n, hit
+}
+
+// report adds the drift counters to m (a no-op on a nil stamper or nil
+// registry, so paper-window runs register no drift metrics).
+func (d *driftStamper) report(m *obs.Registry) {
+	if d == nil || m == nil {
 		return
 	}
-	profiles := map[string]SecurityProfile{}
-	for _, v := range Vendors() {
-		profiles[v.Name] = v.Profile
-	}
-	cols := ds.Records.c
-	tab := cols.tab
-	type devDecision struct {
-		upgraded bool
-		at       time.Time
-	}
-	decisions := map[intern.Symbol]devDecision{}
-	tmpl := map[tmplKey][]byte{}
-	var devicesUpgraded, recordsRestamped int64
-	for i := range cols.stack {
-		devSym := cols.device[i]
-		dec, ok := decisions[devSym]
-		if !ok {
-			at, up := upgradeDate(cfg.Seed, tab.Str(devSym), profiles[tab.Str(cols.vendor[i])])
-			dec = devDecision{upgraded: up && !at.After(asof), at: at}
-			decisions[devSym] = dec
-			if dec.upgraded {
-				devicesUpgraded++
-			}
-		}
-		if !dec.upgraded {
-			continue
-		}
-		origID := tab.Str(cols.stack[i])
-		if strings.HasPrefix(origID, fwStackPrefix) {
-			continue
-		}
-		entry := upgradeEntryFor(cfg.Seed, origID, dec.at)
-		newSym := tab.Intern(fwStackPrefix + entry.Name() + ":" + origID)
-		key := tmplKey{stack: newSym, sni: cols.sni[i]}
-		t, ok := tmpl[key]
-		if !ok {
-			t = buildHelloTemplate13(entry.Print, tab.Str(cols.sni[i]))
-			tmpl[key] = t
-		}
-		var random [32]byte
-		copy(random[:], cols.rawBuf[cols.rawOff[i]+helloRandomOff:])
-		off := uint32(len(cols.rawBuf))
-		cols.rawBuf = append(cols.rawBuf, t...)
-		copy(cols.rawBuf[off+helloRandomOff:], random[:])
-		cols.rawOff[i] = off
-		cols.rawLen[i] = uint32(len(t))
-		cols.stack[i] = newSym
-		recordsRestamped++
-	}
-	if m := cfg.Metrics; m != nil {
-		m.Counter("dataset_drift_upgraded_devices_total").Add(devicesUpgraded)
-		m.Counter("dataset_drift_restamped_records_total").Add(recordsRestamped)
-	}
+	m.Counter("dataset_drift_upgraded_devices_total").Add(d.devicesUpgraded)
+	m.Counter("dataset_drift_restamped_records_total").Add(d.recordsRestamped)
 }
 
 // driftKeyShareData fills the template's x25519 share with a fixed
@@ -216,6 +287,16 @@ func buildHelloTemplate13(print fingerprint.Fingerprint, sni string) []byte {
 	return raw
 }
 
+// vendorProfiles maps each vendor name to its security era, built once;
+// the map is shared and read-only.
+var vendorProfiles = sync.OnceValue(func() map[string]SecurityProfile {
+	profiles := map[string]SecurityProfile{}
+	for _, v := range Vendors() {
+		profiles[v.Name] = v.Profile
+	}
+	return profiles
+})
+
 // AdoptionPoint is one row of the adoption curve: the device population
 // bucketed by the best TLS version its firmware proposes at Date. The
 // three buckets always sum to the full population.
@@ -246,21 +327,30 @@ func legacyDevice(d *Device) bool {
 // AdoptionCurve buckets the device population at each date. Dates are
 // evaluated against the same hash schedule the generator materializes,
 // so the curve at ds.Config.AsOf matches the generated records exactly,
-// and the TLS13 column is nondecreasing over increasing dates.
+// and the TLS13 column is nondecreasing over increasing dates. Each
+// device's upgrade date and legacy bucket are computed once per call,
+// not once per date.
 func (ds *Dataset) AdoptionCurve(dates []time.Time) []AdoptionPoint {
-	profiles := map[string]SecurityProfile{}
-	for _, v := range Vendors() {
-		profiles[v.Name] = v.Profile
+	type devState struct {
+		at       time.Time
+		upgrades bool
+		legacy   bool
+	}
+	profiles := vendorProfiles()
+	states := make([]devState, len(ds.Devices))
+	for i, d := range ds.Devices {
+		at, ok := upgradeDate(ds.Config.Seed, d.ID, profiles[d.Vendor])
+		states[i] = devState{at: at, upgrades: ok, legacy: legacyDevice(d)}
 	}
 	out := make([]AdoptionPoint, 0, len(dates))
 	for _, date := range dates {
 		pt := AdoptionPoint{Date: date}
-		for _, d := range ds.Devices {
-			at, ok := upgradeDate(ds.Config.Seed, d.ID, profiles[d.Vendor])
+		drifting := date.After(driftStart)
+		for _, st := range states {
 			switch {
-			case ok && !at.After(date) && date.After(driftStart):
+			case drifting && st.upgrades && !st.at.After(date):
 				pt.TLS13++
-			case legacyDevice(d):
+			case st.legacy:
 				pt.Legacy++
 			default:
 				pt.TLS12++
@@ -302,10 +392,7 @@ func (r StragglerRow) Fraction() float64 {
 // 1.2-and-below hellos at the end of the timeline. Sorted by straggler
 // count descending, then vendor name, for stable report rows.
 func (ds *Dataset) DowngradeStragglers() []StragglerRow {
-	profiles := map[string]SecurityProfile{}
-	for _, v := range Vendors() {
-		profiles[v.Name] = v.Profile
-	}
+	profiles := vendorProfiles()
 	byVendor := map[string]*StragglerRow{}
 	var order []string
 	for _, d := range ds.Devices {

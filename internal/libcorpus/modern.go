@@ -30,9 +30,12 @@ var (
 	modernCorpus []ModernEntry
 )
 
-// Modern returns the dated post-2020 evolution entries, oldest first.
-// Callers may reorder the returned slice; the entries are shared and
-// immutable.
+// Modern returns the dated post-2020 evolution entries, grouped by
+// library family (wolfSSL, then OpenSSL) and dated within each family;
+// the slice as a whole is not in release order. The firmware-drift pick
+// indexes into this order (via ModernAsOf), so reordering the table
+// changes every as-of dataset. Callers get a fresh slice they may
+// reorder; the entries are shared and immutable.
 func Modern() []ModernEntry {
 	modernOnce.Do(func() { modernCorpus = buildModern() })
 	return append([]ModernEntry(nil), modernCorpus...)
